@@ -93,18 +93,6 @@ func (c *SetAssoc[K, V]) Lookup(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek finds key without touching LRU state or statistics.
-func (c *SetAssoc[K, V]) Peek(key K) (V, bool) {
-	ln := c.lines[c.set(key)]
-	for i := range ln {
-		if ln[i].key == key {
-			return ln[i].val, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // Insert adds or updates key→val as the MRU line of its set, evicting the
 // LRU line if the set is full. It returns the evicted pair, if any.
 func (c *SetAssoc[K, V]) Insert(key K, val V) (evictedKey K, evictedVal V, evicted bool) {
@@ -151,16 +139,28 @@ func (c *SetAssoc[K, V]) Invalidate(key K) bool {
 	return false
 }
 
-// InvalidateIf removes every entry for which pred returns true and reports
-// how many were removed. Used for page-granular flushes of cacheline-keyed
-// caches.
-func (c *SetAssoc[K, V]) InvalidateIf(pred func(K, V) bool) int {
+// InvalidateRange removes every entry of a uint64-keyed cache whose key lies
+// in [lo, hi] and reports how many were removed; the survivors keep their LRU
+// order. It is the page-granular flush of a cacheline-keyed cache, and it
+// picks its method by geometry: a range with fewer keys than the cache has
+// sets is probed key by key, anything wider is one pass over the sets.
+func InvalidateRange[V any](c *SetAssoc[uint64, V], lo, hi uint64) int {
 	removed := 0
+	if hi-lo < uint64(c.sets)-1 {
+		for k := lo; ; k++ {
+			if c.Invalidate(k) {
+				removed++
+			}
+			if k == hi {
+				return removed
+			}
+		}
+	}
 	for s := range c.lines {
 		ln := c.lines[s]
 		kept := ln[:0]
 		for i := range ln {
-			if pred(ln[i].key, ln[i].val) {
+			if k := ln[i].key; k >= lo && k <= hi {
 				removed++
 			} else {
 				kept = append(kept, ln[i])
@@ -190,9 +190,4 @@ func (c *SetAssoc[K, V]) Range(fn func(K, V) bool) {
 			}
 		}
 	}
-}
-
-// ResetStats zeroes the hit/lookup/eviction counters.
-func (c *SetAssoc[K, V]) ResetStats() {
-	c.lookups, c.hits, c.evicts = 0, 0, 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -47,7 +48,7 @@ func TestLRUEviction(t *testing.T) {
 	if !ev || ek != 2 {
 		t.Fatalf("evicted %d,%v; want key 2", ek, ev)
 	}
-	if _, ok := c.Peek(1); !ok {
+	if _, ok := c.Lookup(1); !ok {
 		t.Fatal("MRU line 1 evicted")
 	}
 }
@@ -74,29 +75,37 @@ func TestInvalidate(t *testing.T) {
 	if c.Invalidate(5) {
 		t.Fatal("Invalidate hit absent key")
 	}
-	if _, ok := c.Peek(5); ok {
+	if _, ok := c.Lookup(5); ok {
 		t.Fatal("key survived invalidation")
 	}
 }
 
-func TestInvalidateIf(t *testing.T) {
-	c := newTest(4, 4)
-	for k := uint64(0); k < 16; k++ {
-		c.Insert(k, int(k))
-	}
-	n := c.InvalidateIf(func(k uint64, _ int) bool { return k%2 == 0 })
-	if n != 8 {
-		t.Fatalf("removed %d, want 8", n)
-	}
-	if c.Len() != 8 {
-		t.Fatalf("len = %d, want 8", c.Len())
-	}
-	c.Range(func(k uint64, _ int) bool {
-		if k%2 == 0 {
-			t.Fatalf("even key %d survived", k)
+func TestInvalidateRange(t *testing.T) {
+	// Ranges narrower than the set count are probed key by key; wider ones
+	// scan every set. Both must remove exactly the keys in range and keep
+	// the survivors' LRU order.
+	for _, tc := range []struct{ lo, hi uint64 }{{4, 6}, {4, 11}, {0, 15}, {20, 30}} {
+		c := newTest(4, 4)
+		for k := uint64(0); k < 16; k++ {
+			c.Insert(k, int(k))
 		}
-		return true
-	})
+		var want []uint64
+		c.Range(func(k uint64, _ int) bool {
+			if k < tc.lo || k > tc.hi {
+				want = append(want, k)
+			}
+			return true
+		})
+		n := InvalidateRange(c, tc.lo, tc.hi)
+		if n != 16-len(want) || c.Len() != len(want) {
+			t.Fatalf("[%d,%d]: removed %d, len %d; want %d, %d", tc.lo, tc.hi, n, c.Len(), 16-len(want), len(want))
+		}
+		var got []uint64
+		c.Range(func(k uint64, _ int) bool { got = append(got, k); return true })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("[%d,%d]: survivors %v, want %v", tc.lo, tc.hi, got, want)
+		}
+	}
 }
 
 func TestFlush(t *testing.T) {
@@ -110,17 +119,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotPromote(t *testing.T) {
-	c := newTest(1, 2)
-	c.Insert(1, 1)
-	c.Insert(2, 2) // MRU=2, LRU=1
-	c.Peek(1)      // must NOT promote 1
-	ek, _, _ := c.Insert(3, 3)
-	if ek != 1 {
-		t.Fatalf("evicted %d; Peek promoted the LRU line", ek)
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	c := newTest(1, 4)
 	c.Insert(1, 1)
@@ -128,10 +126,6 @@ func TestHitRate(t *testing.T) {
 	c.Lookup(2)
 	if hr := c.HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", hr)
-	}
-	c.ResetStats()
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate not reset")
 	}
 }
 
@@ -166,13 +160,13 @@ func TestCapacityInvariantProperty(t *testing.T) {
 	}
 }
 
-// Property: an entry just inserted is always resident (insert-then-peek).
-func TestInsertThenPeekProperty(t *testing.T) {
+// Property: an entry just inserted is always resident (insert-then-lookup).
+func TestInsertThenLookupProperty(t *testing.T) {
 	prop := func(keys []uint64) bool {
 		c := New[uint64, int](4, 2, ident)
 		for i, k := range keys {
 			c.Insert(k, i)
-			if v, ok := c.Peek(k); !ok || v != i {
+			if v, ok := c.Lookup(k); !ok || v != i {
 				return false
 			}
 		}

@@ -73,7 +73,7 @@ func TestInvalidatePageDropsLines(t *testing.T) {
 	for off := memdef.PAddr(0); off < 4096; off += 64 {
 		runAccess(t, e, h, 0, 0x10000+off, false)
 	}
-	n := h.InvalidatePage(0x10000, 4096)
+	n := h.InvalidatePage(0x10000)
 	if n == 0 {
 		t.Fatal("no lines invalidated")
 	}
@@ -88,7 +88,7 @@ func TestInvalidatePageLeavesNeighbours(t *testing.T) {
 	e, h, _ := newHier(1)
 	runAccess(t, e, h, 0, 0x10000, false) // page A
 	runAccess(t, e, h, 0, 0x11000, false) // page B
-	h.InvalidatePage(0x10000, 4096)
+	h.InvalidatePage(0x10000)
 	if got := runAccess(t, e, h, 0, 0x11000, false); got != DefaultConfig().L1HitLatency {
 		t.Fatalf("neighbour page evicted: access took %d", got)
 	}
@@ -110,5 +110,50 @@ func TestWriteMarksDirty(t *testing.T) {
 	runAccess(t, e, h, 0, 0x3000, true)
 	if got := runAccess(t, e, h, 0, 0x3000, false); got != DefaultConfig().L1HitLatency {
 		t.Fatalf("read after write took %d", got)
+	}
+}
+
+// BenchmarkInvalidatePage measures the migration flush of one page: the
+// L2 is probed or scanned, and only the L1s the residency index names are
+// touched. Refilling the caches between flushes is not timed.
+func BenchmarkInvalidatePage(b *testing.B) {
+	const cus = 64
+	cases := []struct {
+		name    string
+		page    memdef.PageSize
+		fillCUs int
+	}{
+		{"4KB-one-L1", memdef.Page4K, 1},
+		{"4KB-all-L1s", memdef.Page4K, cus},
+		{"2MB-all-L1s", memdef.Page2M, cus},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.PageBytes = tc.page.Bytes()
+			e := sim.NewEngine()
+			h := New(e, cus, cfg, stats.NewSim())
+			const base = memdef.PAddr(1 << 30)
+			// Each filling CU fills its whole L1 from the page (a 4 KB page
+			// has fewer lines than an L1, so those repeat).
+			lines := min(tc.page.Bytes(), uint64(cfg.L1Bytes)) / memdef.CachelineBytes
+			nop := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for cu := 0; cu < tc.fillCUs; cu++ {
+					for ln := uint64(0); ln < lines; ln++ {
+						off := (uint64(cu)*lines + ln) % (tc.page.Bytes() / memdef.CachelineBytes)
+						h.Access(cu, base+memdef.PAddr(off*memdef.CachelineBytes), false, nop)
+					}
+				}
+				e.Run()
+				b.StartTimer()
+				if h.InvalidatePage(base) == 0 {
+					b.Fatal("flush removed nothing")
+				}
+			}
+		})
 	}
 }

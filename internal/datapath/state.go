@@ -26,7 +26,8 @@ func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
 }
 
 // RestoreState reads the state written by SaveState into h, which must have
-// the same geometry.
+// the same geometry. The residency index is derived state: it is rebuilt
+// from the restored L1 contents, so it is exact again after a restore.
 func (h *Hierarchy) RestoreState(r *checkpoint.Reader) {
 	if n := r.Int(); n != len(h.l1) {
 		r.Failf("datapath: %d L1 caches in checkpoint, %d configured", n, len(h.l1))
@@ -36,4 +37,11 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader) {
 		c.RestoreState(r, decLine)
 	}
 	h.l2.RestoreState(r, decLine)
+	clear(h.resident)
+	for cu, c := range h.l1 {
+		c.Range(func(ln uint64, _ lineState) bool {
+			h.markResident(cu, ln)
+			return true
+		})
+	}
 }

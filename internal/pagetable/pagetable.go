@@ -216,11 +216,6 @@ func (t *Table) Entry(vpn memdef.VPN) *PTE {
 	return t.entry(vpn, true)
 }
 
-// UpdateValid adjusts the valid counter after direct mutation through Entry.
-// Callers that flip Valid via Entry must keep the counter consistent; Map
-// and Invalidate do this automatically and are preferred.
-func (t *Table) UpdateValid(delta int) { t.valid += delta }
-
 // Range iterates all resident PTEs in ascending VPN order until fn returns
 // false. The order is part of the contract: callbacks escape iteration
 // order to callers, so handing them raw map order would let the map hash

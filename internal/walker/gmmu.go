@@ -135,13 +135,23 @@ func (g *GMMU) fullWalkCost(vpn memdef.VPN) sim.VTime {
 }
 
 // enqueue submits a job to the walk queue with automatic retry on
-// backpressure.
+// backpressure. A rejected job polls the queue every RetryDelay; its one
+// retry closure is built on the first rejection and rescheduled as is, so
+// a job rejected N times allocates no more than a job rejected once.
 func (g *GMMU) enqueue(job func(release func())) {
 	if g.walkers.Acquire(job) {
 		return
 	}
 	g.st.WalkQueueRejects++
-	g.engine.Schedule(g.cfg.RetryDelay, func() { g.enqueue(job) })
+	var retry func()
+	retry = func() {
+		if g.walkers.Acquire(job) {
+			return
+		}
+		g.st.WalkQueueRejects++
+		g.engine.Schedule(g.cfg.RetryDelay, retry)
+	}
+	g.engine.Schedule(g.cfg.RetryDelay, retry)
 }
 
 // Demand performs a demand translation walk for vpn. done receives the PTE
@@ -183,15 +193,10 @@ func (g *GMMU) Invalidate(vpn memdef.VPN, done func(wasValid bool)) {
 	})
 }
 
-// InvalidateBatch writes back a batch of buffered invalidations on a single
-// walker thread, sequentially, so consecutive pages reuse the just-filled
-// PWC entries (§6.3 "IRMB writeback"). done fires when the whole batch has
-// been applied.
-func (g *GMMU) InvalidateBatch(vpns []memdef.VPN, done func()) {
-	g.InvalidateBatchFiltered(vpns, nil, nil, done)
-}
-
-// InvalidateBatchFiltered is InvalidateBatch with two hooks: skip (checked
+// InvalidateBatchFiltered writes back a batch of buffered invalidations on a
+// single walker thread, sequentially, so consecutive pages reuse the
+// just-filled PWC entries (§6.3 "IRMB writeback"). done fires when the whole
+// batch has been applied. Two optional hooks refine it: skip (checked
 // immediately before each page's walk) suppresses pages whose invalidation
 // became obsolete — e.g. a fresh mapping arrived for them while the batch
 // was queued, so invalidating would destroy the new translation (§6.3

@@ -160,7 +160,7 @@ func TestInvalidateBatchAmortizesPWC(t *testing.T) {
 		pt.Map(vpns[i], pagetable.PTE{Valid: true})
 	}
 	var took sim.VTime
-	g.InvalidateBatch(vpns, func() { took = e.Now() })
+	g.InvalidateBatchFiltered(vpns, nil, nil, func() { took = e.Now() })
 	e.Run()
 	// First page: 400 cold. Remaining 7: 3 PWC hits + leaf = 103 each.
 	want := sim.VTime(400 + 7*103)
@@ -180,7 +180,7 @@ func TestInvalidateBatchHoldsSingleThread(t *testing.T) {
 	}
 	pt.Map(1<<27, pagetable.PTE{Valid: true}) // different subtree
 	var batchDone, demandDone sim.VTime
-	g.InvalidateBatch(vpns, func() { batchDone = e.Now() })
+	g.InvalidateBatchFiltered(vpns, nil, nil, func() { batchDone = e.Now() })
 	g.Demand(1<<27, func(pagetable.PTE, bool) { demandDone = e.Now() })
 	e.Run()
 	// With 2 threads the demand walk proceeds concurrently on thread 2 and

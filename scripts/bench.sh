@@ -3,11 +3,11 @@
 #
 #   scripts/bench.sh run [count]       # run benchmarks, print + save output
 #   scripts/bench.sh check [count]     # run, then gate allocs/op + B/op
-#                                      # against BENCH_PR7.json (wall-clock is
+#                                      # against BENCH_PR12.json (wall-clock is
 #                                      # machine-dependent, so it is NOT gated
 #                                      # against the committed baseline)
 #   scripts/bench.sh record [count]    # run count>=3 times, rewrite
-#                                      # BENCH_PR7.json from the per-benchmark
+#                                      # BENCH_PR12.json from the per-benchmark
 #                                      # MINIMUM (noise only ever adds time)
 #   scripts/bench.sh compare OLD NEW   # diff two saved bench outputs
 #                                      # (10% ns/op + allocs/op thresholds,
@@ -18,13 +18,13 @@
 # BenchmarkSuiteFig11PDES8 is the parallel core's single-simulation speedup)
 # and on the warmup-checkpoint path (BenchmarkSuiteFig11Warmup vs
 # BenchmarkSuiteFig11Checkpointed is the warmup-sharing speedup); see
-# BENCH_PR7.json for the committed baseline and DESIGN.md "Engine internals &
+# BENCH_PR12.json for the committed baseline and DESIGN.md "Engine internals &
 # profiling" / "Checkpoint format & forking" for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11PDES8|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
-BASELINE=BENCH_PR7.json
+BASELINE=BENCH_PR12.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
 
 run_bench() {
@@ -61,7 +61,7 @@ record)
     fi
     run_bench "$count"
     go run ./cmd/benchdiff -min \
-        -note "recorded by scripts/bench.sh record: per-benchmark minimum of $count runs. Allocation counts are deterministic and CI-gated; ns/op is machine-specific context only — judge wall-clock with same-machine back-to-back runs (benchdiff -fail-over), never against this file. Caveat carried from BENCH_PR6.json: it showed SuiteFig11PDES8 slower than Serial, an artifact of single-sample recording on a low-core runner (PDES worker overhead with no spare cores), which the minimum-of-N collapse now prevents." \
+        -note "recorded by scripts/bench.sh record: per-benchmark minimum of $count runs. Allocation counts are deterministic and CI-gated; ns/op is machine-specific context only — judge wall-clock with same-machine back-to-back runs (benchdiff -fail-over), never against this file. On a host with few cores SuiteFig11PDES8 can record slower than Serial: its workers have no spare cores to run on (ROADMAP, \"The PDES executor\")." \
         -emit "$BASELINE" "$OUT"
     ;;
 compare)
