@@ -3,9 +3,8 @@
 // (virtual time only, seeded RNG only, no stray concurrency, no
 // order-sensitive map iteration — transitively, over the whole static call
 // graph) plus the service-layer operational contracts (integrity envelopes
-// on every disk write, disk errors degrading to cache misses, the metric-
-// key registry, mutex acquisition order). See DESIGN.md "The determinism
-// contract".
+// on every disk write, disk errors degrading to cache misses, mutex
+// acquisition order). See DESIGN.md "The determinism contract".
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package idyll_test
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,6 +112,86 @@ func TestHeadlineDocsMatchSuite(t *testing.T) {
 	for _, c := range checks {
 		if got := docRowMeasured(t, c.file, c.label); got != c.want {
 			t.Errorf("%s %q says %s; results/full_suite.txt gives %s", c.file, c.label, got, c.want)
+		}
+	}
+}
+
+// experimentsSection returns the EXPERIMENTS.md section whose "### " heading
+// starts with heading, up to the next heading, with every run of white
+// space folded to one space so a quote may wrap across lines.
+func experimentsSection(t *testing.T, heading string) string {
+	t.Helper()
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n### "+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no section %q", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	return strings.Join(strings.Fields(section), " ")
+}
+
+// TestFigureProseMatchesSuite fails when a number or an ordering quoted in
+// EXPERIMENTS.md's per-figure prose drifts from results/full_suite.txt.
+func TestFigureProseMatchesSuite(t *testing.T) {
+	fig2 := readSuiteFigure(t, "fig2")
+	fig12 := readSuiteFigure(t, "fig12")
+	drain := readSuiteFigure(t, "ablation-drain")
+
+	// Figure 12's deepest cuts: the three apps with the lowest relative
+	// latency, lowest first.
+	rel := fig12["Relative"]
+	var apps []string
+	for app := range rel {
+		if app != "Ave." {
+			apps = append(apps, app)
+		}
+	}
+	sort.Slice(apps, func(i, j int) bool { return rel[apps[i]] < rel[apps[j]] })
+	deepest := fmt.Sprintf("deepest cuts on %s (%.2f–%.2f)",
+		strings.Join(apps[:3], "/"), rel[apps[0]], rel[apps[2]])
+
+	// The drain ablation's winner, on average and app by app.
+	idle, evict := drain["Drain on idle (default)"], drain["Eviction-only"]
+	winner, loser, win, lose := "eviction-only", "drain-on-idle", evict, idle
+	if idle["Ave."] > evict["Ave."] {
+		winner, loser, win, lose = loser, winner, idle, evict
+	}
+	ahead := 0
+	for _, app := range apps {
+		if win[app] > lose[app] {
+			ahead++
+		}
+	}
+
+	checks := []struct {
+		section string
+		want    []string
+	}{
+		{"Figure 2 —", []string{
+			"zero-latency " + gain(fig2["Zero-Latency Invalidation"]["Ave."]),
+			fmt.Sprintf("first-touch outperforms counter-based (%.1f×)", fig2["First-touch"]["Ave."]),
+			"on-touch " + gain(fig2["On-touch"]["Ave."]),
+		}},
+		{"Figure 12 —", []string{
+			fmt.Sprintf("%.0f%% average reduction** (%.3f relative)", (1-rel["Ave."])*100, rel["Ave."]),
+			deepest,
+		}},
+		{"Ablation — IRMB drain-on-idle", []string{
+			fmt.Sprintf("Eviction-only write-back %.3f× vs drain-on-idle %.3f×",
+				evict["Ave."], idle["Ave."]),
+			fmt.Sprintf("%s is ahead on average and on %d of %d apps", winner, ahead, len(apps)),
+		}},
+	}
+	for _, c := range checks {
+		text := experimentsSection(t, c.section)
+		for _, want := range c.want {
+			if !strings.Contains(text, want) {
+				t.Errorf("EXPERIMENTS.md %q does not say %q, which results/full_suite.txt gives:\n%s",
+					c.section, want, text)
+			}
 		}
 	}
 }

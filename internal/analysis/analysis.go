@@ -93,7 +93,7 @@ type Analyzer struct {
 
 	// Packages, when non-empty, restricts the analyzer to exactly these
 	// module-relative package paths — the scoping used by the service-layer
-	// contract checks (envelopewrite, missnoterror, metricreg, lockorder),
+	// contract checks (envelopewrite, missnoterror, lockorder),
 	// which bind specific orchestration packages rather than the core set.
 	// Mutually exclusive with CoreOnly.
 	Packages []string
@@ -113,13 +113,6 @@ type Analyzer struct {
 	// though no core file mentions the source directly. Sources must not
 	// call pass.Reportf; it returns sites, the engine does the reporting.
 	Sources func(pass *Pass, fn *ast.FuncDecl) []Source
-
-	// RunProgram, when non-nil, runs once over the whole loaded program
-	// instead of package by package — for contract checks that need a
-	// cross-package view, like metricreg's registry-vs-increment
-	// reconciliation. It only runs when at least one package the analyzer
-	// applies to was matched.
-	RunProgram func(prog *Program) ([]Diagnostic, error)
 }
 
 // A Source is one nondeterminism site inside a function body, found by an
@@ -271,10 +264,9 @@ func NeedsTypes(analyzers []*Analyzer, pkg *Package) bool {
 // RunAll is the whole-program entry point: it type-checks every matched
 // package an analyzer applies to (core packages additionally when any
 // analyzer enrolls in the taint engine, since their module-internal
-// dependencies are pulled in transitively), runs the per-package analyzers,
-// the interprocedural taint engine, and the program-level checks, and
-// returns the findings with suppression directives from every matched
-// package applied.
+// dependencies are pulled in transitively), runs the per-package analyzers
+// and the interprocedural taint engine, and returns the findings with
+// suppression directives from every matched package applied.
 func RunAll(analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
 	needTaint := false
 	for _, a := range analyzers {
@@ -306,16 +298,6 @@ func RunAll(analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
 	}
 	if needTaint {
 		raw = append(raw, runTaint(analyzers, prog)...)
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil || len(prog.Scoped(a)) == 0 {
-			continue
-		}
-		ds, err := a.RunProgram(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		raw = append(raw, ds...)
 	}
 
 	diags := applyDirectivesAll(prog.Pkgs, raw)

@@ -55,11 +55,10 @@ func Run(t *testing.T, a *analysis.Analyzer, testdata, pkg string) {
 
 // RunModule loads testdata/src/<name> as a self-contained mini-module (the
 // directory carries its own go.mod), runs the full whole-program pipeline —
-// per-package checks, the interprocedural taint engine, and program-level
-// checks — over ./... of that module, and checks the findings against the
-// want comments of every package in it. This is the harness for behaviour
-// that cannot be pinned from a single directory: taint chains crossing
-// package boundaries, and registry checks that reconcile two packages.
+// per-package checks and the interprocedural taint engine — over ./... of
+// that module, and checks the findings against the want comments of every
+// package in it. This is the harness for behaviour that cannot be pinned
+// from a single directory: taint chains crossing package boundaries.
 func RunModule(t *testing.T, analyzers []*analysis.Analyzer, testdata, name string) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join(testdata, "src", name))

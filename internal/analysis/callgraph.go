@@ -26,18 +26,6 @@ func NewProgram(l *Loader, pkgs []*Package) *Program {
 	return &Program{Loader: l, Pkgs: pkgs}
 }
 
-// Scoped returns the matched packages the analyzer applies to, in match
-// order — the package set a RunProgram implementation should inspect.
-func (p *Program) Scoped(a *Analyzer) []*Package {
-	var out []*Package
-	for _, pkg := range p.Pkgs {
-		if a.appliesTo(pkg.Rel) {
-			out = append(out, pkg)
-		}
-	}
-	return out
-}
-
 // A FuncInfo is one function or method declaration in the call graph.
 type FuncInfo struct {
 	Obj  *types.Func

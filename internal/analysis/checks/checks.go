@@ -25,7 +25,6 @@ func All() []*analysis.Analyzer {
 		Floataccum,
 		Envelopewrite,
 		Missnoterror,
-		Metricreg,
 		Lockorder,
 	}
 }

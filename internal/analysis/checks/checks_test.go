@@ -13,10 +13,9 @@ import (
 // ../testdata/src, covering positive, negative, and suppression cases via
 // the // want expectation comments in the sources themselves. Single-
 // directory goldens run one analyzer through the per-package path; the
-// mini-module goldens (a go.mod of their own under testdata/src/<name>)
-// run the whole-program pipeline — the interprocedural taint engine and
-// the cross-package registry reconciliation — exactly as `idyllvet ./...`
-// does.
+// mini-module golden (a go.mod of its own under testdata/src/interproc)
+// runs the whole-program pipeline — the interprocedural taint engine —
+// exactly as `idyllvet ./...` does.
 func TestAnalyzers(t *testing.T) {
 	tests := []struct {
 		analyzer *analysis.Analyzer
@@ -42,17 +41,12 @@ func TestAnalyzers(t *testing.T) {
 			analysistest.Run(t, tt.analyzer, "../testdata", tt.pkg)
 		})
 	}
-	// Whole-program goldens: interproc pins the taint engine (a core
+	// Whole-program golden: interproc pins the taint engine (a core
 	// function reaching time.Now two hops away through non-core helpers,
-	// next to the direct-import case reporting under the same check), and
-	// metricreg pins the registry reconciliation across two packages.
+	// next to the direct-import case reporting under the same check).
 	t.Run("interproc", func(t *testing.T) {
 		analysistest.RunModule(t, checks.All(), "../testdata", "interproc")
 	})
-	t.Run("metricreg", func(t *testing.T) {
-		analysistest.RunModule(t, checks.All(), "../testdata", "metricreg")
-	})
-	seen[checks.Metricreg.Name] = true
 	// Every registered analyzer must have a golden package; a new check
 	// added to All() without one fails here.
 	for _, a := range checks.All() {
@@ -72,8 +66,8 @@ func TestRegistry(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v is missing name or doc", a)
 		}
-		if a.Run == nil && a.RunProgram == nil {
-			t.Errorf("analyzer %s has neither Run nor RunProgram", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %s has no Run", a.Name)
 		}
 		if names[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
@@ -83,16 +77,13 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("analyzer %s must be either CoreOnly or scoped to an explicit package list (got CoreOnly=%v, %d packages)",
 				a.Name, a.CoreOnly, len(a.Packages))
 		}
-		if a.CoreOnly && a.Run == nil {
-			t.Errorf("core determinism check %s must have a per-package Run", a.Name)
-		}
 		if a.Name != strings.ToLower(a.Name) || strings.ContainsAny(a.Name, " \t") {
 			t.Errorf("analyzer name %q must be lower-case with no spaces", a.Name)
 		}
 	}
 	for _, want := range []string{
 		"walltime", "globalrand", "straygoroutine", "maporder", "floataccum",
-		"envelopewrite", "missnoterror", "metricreg", "lockorder",
+		"envelopewrite", "missnoterror", "lockorder",
 	} {
 		if !names[want] {
 			t.Errorf("registry is missing the %s analyzer", want)

@@ -145,8 +145,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	// The closure runs only from MarkFailed, which nothing calls before
 	// NewServer below assigns c.srv.
 	c.members.OnTrip(func(id string) {
-		c.srv.Metrics().Inc("fleet_breaker_trips", 1)
-		c.srv.Metrics().IncLabeled("fleet_breaker_trips_worker", "worker", id, 1)
+		c.srv.Metrics().Inc(fleetBreakerTrips)
+		c.srv.Metrics().IncLabel(fleetBreakerTripsWorker, id)
 	})
 	for _, w := range cfg.Workers {
 		if w.ID == "" || w.URL == "" {
@@ -269,7 +269,7 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 			}
 			lastErr = fmt.Errorf("worker %s: %w", target.ID, err)
 			c.members.MarkFailed(target.ID)
-			c.srv.Metrics().Inc("fleet_reroutes", 1)
+			c.srv.Metrics().Inc(fleetReroutes)
 			c.cfg.Logf("fleet: job %s on %s failed (%v), re-routing", hash[:12], target.ID, err)
 			continue
 		}
@@ -280,9 +280,9 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 		switch st.Status {
 		case service.StatusDone:
 			c.copysets.Add(hash, target.ID)
-			c.srv.Metrics().IncLabeled("fleet_jobs_dispatched", "worker", target.ID, 1)
-			if st.Source != "" {
-				c.srv.Metrics().Inc("fleet_results_"+st.Source, 1)
+			c.srv.Metrics().IncLabel(fleetJobsDispatched, target.ID)
+			if ctr, ok := fleetResults[st.Source]; ok {
+				c.srv.Metrics().Inc(ctr)
 			}
 			c.replicate(ctx, hash, target)
 			return st.Result, nil
@@ -294,7 +294,7 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 			// Cancelled worker-side (force-cancelled drain, worker-local
 			// timeout): the job may succeed elsewhere.
 			lastErr = fmt.Errorf("worker %s: job %s", target.ID, st.Status)
-			c.srv.Metrics().Inc("fleet_reroutes", 1)
+			c.srv.Metrics().Inc(fleetReroutes)
 			c.cfg.Logf("fleet: job %s %s on %s, re-routing", hash[:12], st.Status, target.ID)
 			continue
 		}
@@ -303,7 +303,7 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 	// coordinator computes the job itself. Content addressing makes this
 	// safe — a locally computed result is byte-identical to a worker's.
 	if c.cfg.LocalRunner != nil && len(c.members.Routable()) == 0 {
-		c.srv.Metrics().Inc("fleet_degraded_local_runs", 1)
+		c.srv.Metrics().Inc(fleetDegradedLocalRuns)
 		c.cfg.Logf("fleet: no routable worker for job %s, running degraded-local", hash[:12])
 		return c.cfg.LocalRunner(ctx, spec, progress)
 	}
@@ -379,7 +379,7 @@ func (c *Coordinator) replicate(ctx context.Context, hash string, computed *Memb
 		if filled || present {
 			c.copysets.Add(hash, id)
 			if filled {
-				c.srv.Metrics().Inc("fleet_replications", 1)
+				c.srv.Metrics().Inc(fleetReplications)
 			}
 		}
 	}
@@ -491,9 +491,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	var b strings.Builder
-	b.WriteString(c.srv.Metrics().Render(map[string]int{
-		"queue_depth": c.queue.Len(),
-	}))
+	b.WriteString(c.srv.Metrics().Render(service.QueueDepth.Sample(c.queue.Len())))
 	b.WriteString(service.RenderMetricLines("fleet_", fleetVals))
 	b.WriteString(service.RenderMetricLines("worker_", workerVals))
 	_, _ = w.Write([]byte(b.String()))

@@ -25,6 +25,9 @@ type testWorker struct {
 	hs     *httptest.Server
 	filler *Filler
 	runs   atomic.Int64
+	// cancelNext makes the next job this worker runs end cancelled, as a
+	// force-cancelled drain would, so the coordinator re-routes it.
+	cancelNext atomic.Bool
 }
 
 func newTestWorker(t *testing.T, id string) *testWorker {
@@ -34,6 +37,9 @@ func newTestWorker(t *testing.T, id string) *testWorker {
 		Workers: 2,
 		Runner: func(ctx context.Context, spec service.CanonicalSpec,
 			progress func(int, int, string)) ([]byte, error) {
+			if w.cancelNext.CompareAndSwap(true, false) {
+				return nil, context.Canceled
+			}
 			w.runs.Add(1)
 			h, err := spec.Hash()
 			if err != nil {
@@ -182,7 +188,11 @@ func TestCoordinatorPeerFillAfterReplication(t *testing.T) {
 		if w.runs.Load() == 1 {
 			computed = w
 		}
-		if w.srv.Metrics().Counter("peer_fills") == 1 {
+		m, err := service.NewClient(w.hs.URL).Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m["idylld_peer_fills"] == 1 {
 			filled = w
 		}
 	}
@@ -222,7 +232,7 @@ func TestCoordinatorReroutesOnWorkerDeath(t *testing.T) {
 	if st.Status != service.StatusDone {
 		t.Fatalf("status = %s (%s)", st.Status, st.Error)
 	}
-	if reroutes := coord.Server().Metrics().Counter("fleet_reroutes"); reroutes < 1 {
+	if reroutes := coord.Server().Metrics().Value(fleetReroutes); reroutes < 1 {
 		t.Fatal("re-route not recorded")
 	}
 	// The dead worker was marked down via dispatch feedback (FailLimit 1).
@@ -478,7 +488,7 @@ func TestCoordinatorDegradedLocalRun(t *testing.T) {
 	if local.Load() != 1 {
 		t.Fatalf("local runner ran %d times, want 1", local.Load())
 	}
-	if got := coord.Server().Metrics().Counter("fleet_degraded_local_runs"); got != 1 {
+	if got := coord.Server().Metrics().Value(fleetDegradedLocalRuns); got != 1 {
 		t.Fatalf("fleet_degraded_local_runs = %d, want 1", got)
 	}
 }
@@ -529,7 +539,7 @@ func TestCoordinatorHalfOpenTrialDispatch(t *testing.T) {
 	if tgt := coord.nextTarget(hash, map[string]bool{}); tgt != nil {
 		t.Fatalf("open breaker received traffic: %s", tgt.ID)
 	}
-	if got := coord.Server().Metrics().Counter("fleet_breaker_trips"); got != 1 {
+	if got := coord.Server().Metrics().Value(fleetBreakerTrips); got != 1 {
 		t.Fatalf("fleet_breaker_trips = %d, want 1", got)
 	}
 
@@ -567,7 +577,7 @@ func TestCoordinatorBreakerTripOnWorkerDeath(t *testing.T) {
 	if err != nil || st.Status != service.StatusDone {
 		t.Fatalf("job lost to worker death: %v %+v", err, st)
 	}
-	if got := coord.Server().Metrics().Counter("fleet_breaker_trips"); got < 1 {
+	if got := coord.Server().Metrics().Value(fleetBreakerTrips); got < 1 {
 		t.Fatalf("fleet_breaker_trips = %d, want >= 1", got)
 	}
 	for _, wk := range coord.Members().Snapshot() {

@@ -25,7 +25,7 @@ type Filler struct {
 	clients map[string]*service.Client
 	timeout time.Duration
 	faults  *fault.Injector
-	metrics interface{ Inc(string, uint64) }
+	metrics *service.Metrics
 }
 
 // NewFiller returns a filler for the worker reachable at self (may be
@@ -70,18 +70,18 @@ func (f *Filler) SetFaults(inj *fault.Injector) {
 
 // SetMetrics wires the verify-failure counters (peer_verify_failures,
 // ckpt_peer_verify_failures) into the worker's metric set.
-func (f *Filler) SetMetrics(m interface{ Inc(string, uint64) }) {
+func (f *Filler) SetMetrics(m *service.Metrics) {
 	f.mu.Lock()
 	f.metrics = m
 	f.mu.Unlock()
 }
 
-func (f *Filler) inc(name string) {
+func (f *Filler) inc(c *service.Counter) {
 	f.mu.Lock()
 	m := f.metrics
 	f.mu.Unlock()
 	if m != nil {
-		m.Inc(name, 1)
+		m.Inc(c)
 	}
 }
 
@@ -126,7 +126,7 @@ func (f *Filler) ResultFill(ctx context.Context, hash string, hints []string) ([
 		// miss — the next candidate (or a recompute) supplies good bytes.
 		var ce *service.ChecksumError
 		if errors.As(err, &ce) {
-			f.inc("peer_verify_failures")
+			f.inc(peerVerifyFailures)
 		}
 	}
 	return nil, false
@@ -146,7 +146,7 @@ func (f *Filler) CkptFill(key string) ([]byte, bool) {
 		}
 		var ce *service.ChecksumError
 		if errors.As(err, &ce) {
-			f.inc("ckpt_peer_verify_failures")
+			f.inc(ckptPeerVerifyFailures)
 		}
 	}
 	return nil, false

@@ -55,7 +55,6 @@ type Table struct {
 	levels   int
 	root     *node
 	resident int // number of PTEs present (valid or stale-invalid)
-	valid    int // number of valid PTEs
 }
 
 // New creates an empty page table for the given page size.
@@ -78,9 +77,6 @@ func (t *Table) Levels() int { return t.levels }
 // cost a full walk to inspect — the "even if it were invalid to begin with"
 // case of §2).
 func (t *Table) Resident() int { return t.resident }
-
-// ValidCount reports how many PTEs are currently valid.
-func (t *Table) ValidCount() int { return t.valid }
 
 // leafIndex returns the radix index of vpn at the leaf, and walkLevel maps a
 // walk step i (0-based from the top) to its level number.
@@ -183,11 +179,6 @@ func (t *Table) entry(vpn memdef.VPN, create bool) *PTE {
 // Map installs or replaces the translation for vpn.
 func (t *Table) Map(vpn memdef.VPN, pte PTE) {
 	p := t.entry(vpn, true)
-	if p.Valid && !pte.Valid {
-		t.valid--
-	} else if !p.Valid && pte.Valid {
-		t.valid++
-	}
 	*p = pte
 }
 
@@ -203,7 +194,6 @@ func (t *Table) Invalidate(vpn memdef.VPN) (wasValid bool) {
 	}
 	if p.Valid {
 		p.Valid = false
-		t.valid--
 		return true
 	}
 	return false

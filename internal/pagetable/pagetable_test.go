@@ -82,8 +82,8 @@ func TestInvalidateKeepsResidentEntry(t *testing.T) {
 	if len(visits) != 4 {
 		t.Fatalf("stale walk visited %d levels", len(visits))
 	}
-	if pt.Resident() != 1 || pt.ValidCount() != 0 {
-		t.Fatalf("resident=%d valid=%d", pt.Resident(), pt.ValidCount())
+	if pt.Resident() != 1 {
+		t.Fatalf("resident=%d, want the stale entry kept", pt.Resident())
 	}
 }
 
@@ -94,24 +94,6 @@ func TestInvalidateAbsentIsUnnecessary(t *testing.T) {
 	}
 	if pt.Resident() != 0 {
 		t.Fatal("invalidation of absent entry must not allocate")
-	}
-}
-
-func TestValidCountTracksMapAndInvalidate(t *testing.T) {
-	pt := New(memdef.Page4K)
-	pt.Map(1, PTE{Valid: true})
-	pt.Map(2, PTE{Valid: true})
-	pt.Map(1, PTE{Valid: true, Writable: true}) // remap, still 2 valid
-	if pt.ValidCount() != 2 {
-		t.Fatalf("valid = %d, want 2", pt.ValidCount())
-	}
-	pt.Invalidate(1)
-	if pt.ValidCount() != 1 {
-		t.Fatalf("valid = %d, want 1", pt.ValidCount())
-	}
-	pt.Map(1, PTE{Valid: true})
-	if pt.ValidCount() != 2 {
-		t.Fatalf("revalidate: valid = %d, want 2", pt.ValidCount())
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // Checkpoint support. The radix structure is not serialized — only the leaf
 // PTEs, in ascending VPN order via Range; restore rebuilds the paths through
-// Map, which also reconstructs the resident/valid counters for both valid
-// and invalidated-in-place entries. Aux (the in-PTE directory access bits)
+// Map, which also reconstructs the resident counter for both valid and
+// invalidated-in-place entries. Aux (the in-PTE directory access bits)
 // travels with each PTE, so the directory's state rides the host table's
 // checkpoint for free.
 

@@ -12,19 +12,19 @@ import (
 // as values grow. The fleet rollup and the CI gates diff this text.
 func TestMetricsRenderStableOrder(t *testing.T) {
 	m := NewMetrics()
-	m.Inc("jobs_submitted", 2)
-	m.Inc("cache_hits", 100)
-	m.Inc("jobs_completed", 1)
-	m.IncLabeled("tenant_jobs_accepted", "tenant", "alice", 3)
+	m.Inc(jobsAccepted)
+	m.Inc(jobsCompleted)
+	m.IncLabel(tenantJobsAccepted, "alice")
 	m.ObserveJobLatency(1500 * time.Microsecond)
 
-	first := m.Render(map[string]int{"queue_depth": 7, "jobs_inflight": 0})
+	first := m.Render(cacheHits.Sample(100), QueueDepth.Sample(7), jobsInflight.Sample(0))
 
 	// Same keys, wildly different values: the order must not move.
-	m.Inc("jobs_submitted", 999998)
-	m.Inc("cache_hits", 5)
-	m.IncLabeled("tenant_jobs_accepted", "tenant", "alice", 40)
-	second := m.Render(map[string]int{"queue_depth": 0, "jobs_inflight": 12})
+	for i := 0; i < 99999; i++ {
+		m.Inc(jobsAccepted)
+	}
+	m.IncLabel(tenantJobsAccepted, "alice")
+	second := m.Render(cacheHits.Sample(5), QueueDepth.Sample(0), jobsInflight.Sample(12))
 
 	names := func(text string) []string {
 		var out []string
@@ -68,38 +68,51 @@ func TestRenderMetricLinesSortsKeys(t *testing.T) {
 }
 
 func TestLabelKeySanitizes(t *testing.T) {
-	got := LabelKey("tenant_jobs_shed", "tenant", `ali"ce{}\ bob`+"\n")
-	if strings.ContainsAny(got[len(`tenant_jobs_shed{tenant="`):], "\n") {
-		t.Fatalf("newline survived sanitization: %q", got)
+	got := LabelKey("tenant_jobs_shed", "tenant", `ali"ce{}\ bob`+"\n\r\t")
+	if want := `tenant_jobs_shed{tenant="ali_ce____bob___"}`; got != want {
+		t.Fatalf("LabelKey = %q, want %q", got, want)
 	}
-	want := `tenant_jobs_shed{tenant="ali_ce___-_bob_"}`
-	_ = want // exact replacement chars checked below
-	if !strings.HasPrefix(got, `tenant_jobs_shed{tenant="`) || !strings.HasSuffix(got, `"}`) {
-		t.Fatalf("malformed labeled key %q", got)
-	}
-	inner := strings.TrimSuffix(strings.TrimPrefix(got, `tenant_jobs_shed{tenant="`), `"}`)
-	if strings.ContainsAny(inner, `"{}\`+" \n\r\t") {
-		t.Fatalf("unsafe characters survived in label value %q", inner)
-	}
-	// Long values are clipped.
+	// Long values are clipped to 64 bytes.
 	long := LabelKey("n", "l", strings.Repeat("x", 500))
-	if len(long) > len(`n{l=""}`)+70 {
-		t.Fatalf("label value not clipped: %d bytes", len(long))
+	if want := `n{l="` + strings.Repeat("x", 64) + `"}`; long != want {
+		t.Fatalf("LabelKey = %q, want %q", long, want)
+	}
+	// A family line is sanitized the same way, whether counted or sampled.
+	m := NewMetrics()
+	m.IncLabel(tenantJobsShed, "a b")
+	m.IncLabel(tenantJobsShed, "a\nb")
+	text := m.Render(faultsInjectedSite.Sample("x}y", 1))
+	for _, want := range []string{
+		`idylld_tenant_jobs_shed{tenant="a_b"} 2`,
+		`idylld_faults_injected_site{site="x_y"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("render lacks %q:\n%s", want, text)
+		}
 	}
 }
 
 func TestMetricsParseRoundTrip(t *testing.T) {
 	m := NewMetrics()
-	m.Inc("jobs_submitted", 42)
-	m.IncLabeled("tenant_jobs_accepted", "tenant", "bob", 7)
-	parsed, err := ParseMetrics(m.Render(nil))
+	for i := 0; i < 42; i++ {
+		m.Inc(jobsAccepted)
+	}
+	for i := 0; i < 7; i++ {
+		m.IncLabel(tenantJobsAccepted, "bob")
+	}
+	parsed, err := ParseMetrics(m.Render())
 	if err != nil {
 		t.Fatalf("ParseMetrics: %v", err)
 	}
-	if parsed["idylld_jobs_submitted"] != 42 {
-		t.Fatalf("jobs_submitted = %v, want 42", parsed["idylld_jobs_submitted"])
+	if parsed["idylld_jobs_accepted"] != 42 || m.Value(jobsAccepted) != 42 {
+		t.Fatalf("jobs_accepted = %v (Value %d), want 42",
+			parsed["idylld_jobs_accepted"], m.Value(jobsAccepted))
 	}
 	if parsed[`idylld_tenant_jobs_accepted{tenant="bob"}`] != 7 {
 		t.Fatalf("labeled counter = %v, want 7", parsed[`idylld_tenant_jobs_accepted{tenant="bob"}`])
+	}
+	// A declared counter never counted is not printed.
+	if _, ok := parsed["idylld_jobs_failed"]; ok {
+		t.Fatal("zero counter jobs_failed was printed")
 	}
 }

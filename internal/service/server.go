@@ -283,7 +283,7 @@ func (s *Server) submit(spec CanonicalSpec) (*job, JobStatus, error) {
 	}
 	if live, ok := s.inflight[hash]; ok {
 		s.mu.Unlock()
-		s.metrics.Inc("jobs_deduped", 1)
+		s.metrics.Inc(jobsDeduped)
 		st, err := live.snapshot()
 		st.Deduped = true
 		return live, st, err
@@ -291,15 +291,15 @@ func (s *Server) submit(spec CanonicalSpec) (*job, JobStatus, error) {
 	j := newJob(s.nextIDLocked(), hash, spec)
 	if err := s.queue.Push(spec.Tenant, j); err != nil {
 		s.mu.Unlock()
-		s.metrics.Inc("jobs_shed", 1)
-		s.metrics.IncLabeled("tenant_jobs_shed", "tenant", tenantOrDefault(spec.Tenant), 1)
+		s.metrics.Inc(jobsShed)
+		s.metrics.IncLabel(tenantJobsShed, tenantOrDefault(spec.Tenant))
 		return nil, JobStatus{}, err
 	}
 	s.jobs[j.id] = j
 	s.inflight[hash] = j
 	s.mu.Unlock()
-	s.metrics.Inc("jobs_accepted", 1)
-	s.metrics.IncLabeled("tenant_jobs_accepted", "tenant", tenantOrDefault(spec.Tenant), 1)
+	s.metrics.Inc(jobsAccepted)
+	s.metrics.IncLabel(tenantJobsAccepted, tenantOrDefault(spec.Tenant))
 	st, err := j.snapshot()
 	return j, st, err
 }
@@ -363,10 +363,10 @@ func (s *Server) runJob(j *job) {
 	if s.cfg.PeerFill != nil && len(j.spec.Hints) > 0 {
 		if pr, ok := s.cfg.PeerFill(ctx, j.hash, j.spec.Hints); ok {
 			raw, source = pr, SourcePeer
-			s.metrics.Inc("peer_fills", 1)
+			s.metrics.Inc(peerFills)
 			s.cfg.Logf("job %s peer-filled %s", j.id, j.hash[:12])
 		} else {
-			s.metrics.Inc("peer_fill_misses", 1)
+			s.metrics.Inc(peerFillMisses)
 		}
 	}
 	if source != SourcePeer {
@@ -387,17 +387,17 @@ func (s *Server) runJob(j *job) {
 		j.source = source
 		j.mu.Unlock()
 		j.finish(StatusDone, raw, "")
-		s.metrics.Inc("jobs_completed", 1)
-		s.metrics.IncLabeled("tenant_jobs_completed", "tenant", tenantOrDefault(j.spec.Tenant), 1)
+		s.metrics.Inc(jobsCompleted)
+		s.metrics.IncLabel(tenantJobsCompleted, tenantOrDefault(j.spec.Tenant))
 		s.metrics.ObserveJobLatency(time.Since(start))
 		s.cfg.Logf("job %s done in %.2fs", j.id, time.Since(start).Seconds())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finish(StatusCancelled, nil, err.Error())
-		s.metrics.Inc("jobs_cancelled", 1)
+		s.metrics.Inc(jobsCancelled)
 		s.cfg.Logf("job %s cancelled: %v", j.id, err)
 	default:
 		j.finish(StatusFailed, nil, err.Error())
-		s.metrics.Inc("jobs_failed", 1)
+		s.metrics.Inc(jobsFailed)
 		s.cfg.Logf("job %s failed: %v", j.id, err)
 	}
 }
@@ -405,7 +405,7 @@ func (s *Server) runJob(j *job) {
 func (s *Server) safeRun(ctx context.Context, j *job) (raw []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.Inc("job_panics", 1)
+			s.metrics.Inc(jobPanics)
 			err = fmt.Errorf("service: job panicked: %v", r)
 		}
 	}()
@@ -650,11 +650,11 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, ok := s.cache.Get(hash)
 	if !ok {
-		s.metrics.Inc("peer_serve_misses", 1)
+		s.metrics.Inc(peerServeMisses)
 		writeJSON(w, http.StatusNotFound, apiError{"no cached result for hash"})
 		return
 	}
-	s.metrics.Inc("peer_serves", 1)
+	s.metrics.Inc(peerServes)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderChecksum, integrity.SumHex(raw))
 	w.WriteHeader(http.StatusOK)
@@ -672,11 +672,11 @@ func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 	}
 	data, ok := s.ckpt.Get(key)
 	if !ok {
-		s.metrics.Inc("ckpt_peer_serve_misses", 1)
+		s.metrics.Inc(ckptPeerServeMisses)
 		writeJSON(w, http.StatusNotFound, apiError{"no checkpoint for key"})
 		return
 	}
-	s.metrics.Inc("ckpt_peer_serves", 1)
+	s.metrics.Inc(ckptPeerServes)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderChecksum, integrity.SumHex(data))
 	w.WriteHeader(http.StatusOK)
@@ -724,11 +724,11 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, ok := s.cfg.PeerFill(r.Context(), req.Hash, req.Sources)
 	if !ok {
-		s.metrics.Inc("peer_fill_misses", 1)
+		s.metrics.Inc(peerFillMisses)
 		writeJSON(w, http.StatusBadGateway, apiError{"no listed source had the result"})
 		return
 	}
-	s.metrics.Inc("peer_fills", 1)
+	s.metrics.Inc(peerFills)
 	if err := s.cache.Put(req.Hash, raw); err != nil {
 		s.cfg.Logf("fill put %s: %v", req.Hash[:12], err)
 	}
@@ -811,36 +811,38 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	hits, misses, diskHits := s.cache.Stats()
-	s.metrics.Set("cache_hits", hits)
-	s.metrics.Set("cache_misses", misses)
-	s.metrics.Set("cache_disk_hits", diskHits)
-	ckptHits, ckptMisses, ckptDiskHits, ckptRemoteHits := s.ckpt.Stats()
-	s.metrics.Set("ckpt_hits", ckptHits)
-	s.metrics.Set("ckpt_misses", ckptMisses)
-	s.metrics.Set("ckpt_disk_hits", ckptDiskHits)
-	s.metrics.Set("ckpt_remote_hits", ckptRemoteHits)
+	ckHits, ckMisses, ckDiskHits, ckRemoteHits := s.ckpt.Stats()
 	cacheVF, cacheQ := s.cache.IntegrityStats()
-	s.metrics.Set("cache_verify_failures", cacheVF)
-	s.metrics.Set("cache_corrupt_quarantined", cacheQ)
 	ckptVF, ckptQ := s.ckpt.IntegrityStats()
-	s.metrics.Set("ckpt_verify_failures", ckptVF)
-	s.metrics.Set("ckpt_corrupt_quarantined", ckptQ)
+	samples := []Sample{
+		cacheHits.Sample(hits),
+		cacheMisses.Sample(misses),
+		cacheDiskHits.Sample(diskHits),
+		ckptHits.Sample(ckHits),
+		ckptMisses.Sample(ckMisses),
+		ckptDiskHits.Sample(ckDiskHits),
+		ckptRemoteHits.Sample(ckRemoteHits),
+		cacheVerifyFailures.Sample(cacheVF),
+		cacheCorruptQuarantined.Sample(cacheQ),
+		ckptVerifyFailures.Sample(ckptVF),
+		ckptCorruptQuarantined.Sample(ckptQ),
+		cacheEntries.Sample(s.cache.Len()),
+		ckptEntries.Sample(s.ckpt.Len()),
+	}
 	if s.cfg.Faults != nil {
-		s.metrics.Set("faults_injected", s.cfg.Faults.TotalFired())
+		samples = append(samples, faultsInjected.Sample(s.cfg.Faults.TotalFired()))
 		for site, n := range s.cfg.Faults.FiredBySite() {
-			s.metrics.Set(LabelKey("faults_injected_site", "site", site), n)
+			samples = append(samples, faultsInjectedSite.Sample(site, n))
 		}
 	}
 	s.mu.Lock()
-	gauges := map[string]int{
-		"queue_depth":   s.queue.Len(),
-		"jobs_inflight": s.running,
-		"jobs_tracked":  len(s.jobs),
-		"cache_entries": s.cache.Len(),
-		"ckpt_entries":  s.ckpt.Len(),
-	}
+	samples = append(samples,
+		QueueDepth.Sample(s.queue.Len()),
+		jobsInflight.Sample(s.running),
+		jobsTracked.Sample(len(s.jobs)),
+	)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, s.metrics.Render(gauges))
+	_, _ = io.WriteString(w, s.metrics.Render(samples...))
 }

@@ -129,7 +129,7 @@ func TestInvalidateReportsNecessity(t *testing.T) {
 	if took != 103 { // warm PWC + leaf
 		t.Fatalf("unnecessary walk took %d", took)
 	}
-	if pt.ValidCount() != 0 {
+	if _, pte, _ := pt.Walk(9); pte.Valid {
 		t.Fatal("PTE still valid")
 	}
 }
@@ -167,8 +167,10 @@ func TestInvalidateBatchAmortizesPWC(t *testing.T) {
 	if took != want {
 		t.Fatalf("batch took %d, want %d", took, want)
 	}
-	if pt.ValidCount() != 0 {
-		t.Fatal("batch left valid PTEs")
+	for _, vpn := range vpns {
+		if _, pte, _ := pt.Walk(vpn); pte.Valid {
+			t.Fatalf("batch left VPN %#x valid", vpn)
+		}
 	}
 }
 

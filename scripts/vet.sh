@@ -30,7 +30,10 @@ go vet ./cmd/... ./internal/profiling
 # core; only the straygoroutine check exempts it (analysis.ConcurrencyBoundary
 # — the one package allowed to own goroutines, with golden-file tests in the
 # analyzer suite pinning the boundary). -counts prints the per-check finding
-# tally so a clean run still shows what was actually checked.
+# tally so a clean run still shows what was actually checked: eight checks,
+# five determinism (walltime, globalrand, straygoroutine, maporder,
+# floataccum) and three service-layer contracts (envelopewrite,
+# missnoterror, lockorder).
 echo "== idyllvet (determinism + service-layer contracts) =="
 go run ./cmd/idyllvet -counts ./...
 
